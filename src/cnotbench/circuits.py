@@ -178,9 +178,9 @@ class Gate:
             raise ValueError(f"unknown gate kind: {doc.get('kind')!r}") from None
         return Gate(
             kind,
-            tuple(doc.get("qubits", ())),
-            tuple(doc.get("params", ())),
-            tuple(doc.get("clbits", ())),
+            _list_of(doc.get("qubits", []), (int,), "qubits"),
+            _list_of(doc.get("params", []), (int, float), "params"),
+            _list_of(doc.get("clbits", []), (int,), "clbits"),
         )
 
 
@@ -267,8 +267,24 @@ class Circuit:
         for key in ("num_qubits", "num_clbits", "instructions"):
             if key not in doc:
                 raise ValueError(f"circuit document missing {key!r}")
+        for key in ("num_qubits", "num_clbits"):
+            if type(doc[key]) is not int:
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+        if not isinstance(doc["instructions"], list):
+            raise ValueError(f"instructions must be a list, got {doc['instructions']!r}")
         gates = tuple(Gate.from_document(g) for g in doc["instructions"])
-        return Circuit(int(doc["num_qubits"]), int(doc["num_clbits"]), gates)
+        return Circuit(doc["num_qubits"], doc["num_clbits"], gates)
+
+
+def _list_of(value: object, types: tuple[type, ...], what: str) -> tuple:
+    # type() rather than isinstance(), so JSON true/false are not taken as 1/0.
+    if type(value) is list:
+        for item in value:
+            if type(item) not in types:
+                break
+        else:
+            return tuple(value)
+    raise ValueError(f"{what} must be a list of {' or '.join(t.__name__ for t in types)}, got {value!r}")
 
 
 # ── gate matrices ───────────────────────────────────────────────────────

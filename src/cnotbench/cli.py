@@ -23,6 +23,8 @@ __all__ = ["main"]
 
 RESULTS_CSV_COLUMNS = ["pair", "control", "target", "n", "shots", "ground_count", "g", "exact_p00"]
 MITIGATION_CSV_COLUMNS = ["n", "g_raw_01", "g_raw_10", "g_mit_01", "g_mit_10"]
+# --verify builds dense unitaries of 16 * 4**n bytes: 16 MiB at this limit.
+VERIFY_MAX_QUBITS = 10
 
 
 def _fmt(value: object) -> str:
@@ -107,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     transpile.add_argument("--mode", choices=["optimize", "enforce"], default="optimize",
                            help="optimize per-CNOT success (default) or enforce the physical direction")
     transpile.add_argument("--verify", action="store_true",
-                           help="check unitary equivalence of input and output")
+                           help=f"check unitary equivalence of input and output "
+                                f"(circuits of at most {VERIFY_MAX_QUBITS} qubits)")
     transpile.add_argument("--cleanup-hadamards", action="store_true",
                            help="cancel adjacent H pairs after rewriting (off by default)")
     transpile.add_argument("--out", required=True, help="output directory")
@@ -180,6 +183,11 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(args.circuit, str(exc)) from None
+    if args.verify and circuit.num_qubits > VERIFY_MAX_QUBITS:
+        raise SchemaError(
+            "--verify",
+            f"circuit has {circuit.num_qubits} qubits, over VERIFY_MAX_QUBITS = {VERIFY_MAX_QUBITS}",
+        )
     cmap = CouplingMap.from_document(_load_json(args.map))
 
     if args.mode == "enforce":
@@ -219,7 +227,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
         },
     )
     if estimated is None:
-        print("transpiled; success estimate unavailable (no single-qubit error rates)")
+        print(f"transpiled; success estimate unavailable ({report.estimate_error})")
     else:
         print(f"transpiled; estimated success {estimated:.6f}")
     return 0

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .circuits import build_n_stage
 from .noise import NoiseModel
-from .simulator import Counts, evolve, measured_distribution, sample_counts
+from .simulator import Counts, bitstring, evolve, measured_distribution, sample_counts
 
 __all__ = [
     "ExperimentConfig",
@@ -113,24 +113,26 @@ class StageResult:
 
     ground_count is an integer for sampled runs and a scaled pseudo-count
     after mitigation; counts is None once mitigation replaces the raw
-    shot record. exact_p00 and exact_probs include readout confusion.
+    shot record. exact_probs is indexed by outcome, and it and exact_p00
+    include readout confusion.
     """
 
     ground_count: float
     total: int
     g: float
     exact_p00: float
-    exact_probs: dict[str, float]
+    exact_probs: tuple[float, ...]
     counts: Counts | None
 
     def to_document(self) -> dict:
+        width = len(self.exact_probs).bit_length() - 1
         return {
             "ground_count": self.ground_count,
             "total": self.total,
             "g": self.g,
             "exact_p00": self.exact_p00,
-            "exact_probs": dict(self.exact_probs),
-            "counts": None if self.counts is None else dict(self.counts.data),
+            "exact_probs": {bitstring(i, width): p for i, p in enumerate(self.exact_probs)},
+            "counts": None if self.counts is None else self.counts.data,
         }
 
 
@@ -190,31 +192,26 @@ def run_orientation(
 ) -> OrientationResult:
     """Sweep n = 1..max_stages for one orientation.
 
-    The exact state is evolved once per stage count; each repetition draws
-    shots_per_rep samples with a seed derived from (seed, control, target,
-    n, repetition), so cells are reproducible in any execution order.
+    The outcome distribution is computed once per stage count; each
+    repetition draws shots_per_rep samples from it with a seed derived from
+    (seed, control, target, n, repetition), so cells are reproducible in
+    any execution order.
     """
     per_n: dict[int, StageResult] = {}
     for n in range(1, config.max_stages + 1):
-        circuit = build_n_stage(control, target, n)
-        state, measured = evolve(circuit, noise)
-        readout = noise.readout_pairs(measured)
-        dist = measured_distribution(state, measured, readout)
-
-        counts: Counts | None = None
-        for rep in range(config.repetitions):
-            seed = derive_seed(config.seed, control, target, n, rep)
-            drawn = sample_counts(state, measured, config.shots_per_rep, readout, seed)
-            counts = drawn if counts is None else counts + drawn
-        assert counts is not None
-
-        width = len(measured)
+        state, measured = evolve(build_n_stage(control, target, n), noise)
+        dist = measured_distribution(state, measured, noise.readout_pairs(measured))
+        draws = [
+            sample_counts(dist, config.shots_per_rep, derive_seed(config.seed, control, target, n, rep))
+            for rep in range(config.repetitions)
+        ]
+        counts = sum(draws[1:], draws[0])
         per_n[n] = StageResult(
             ground_count=counts.ground_count,
             total=counts.total,
             g=ground_fraction(counts),
             exact_p00=float(dist[0]),
-            exact_probs={format(i, f"0{width}b"): float(p) for i, p in enumerate(dist)},
+            exact_probs=tuple(dist.tolist()),
             counts=counts,
         )
     return OrientationResult(control, target, per_n)

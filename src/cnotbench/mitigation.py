@@ -81,10 +81,10 @@ class AssignmentMatrix:
 
 @dataclass(frozen=True)
 class MitigatedDistribution:
-    """Corrected probabilities plus the same values scaled back to shots."""
+    """Corrected probabilities plus the same values scaled back to shots, by outcome."""
 
-    probabilities: dict[str, float]
-    pseudo_counts: dict[str, float]
+    probabilities: np.ndarray
+    pseudo_counts: np.ndarray
     total: int
     residual_norm: float
 
@@ -99,24 +99,13 @@ def build_assignment_matrix(calibration_counts: list[Counts]) -> AssignmentMatri
     num_bits = size.bit_length() - 1
     if size < 2 or 2**num_bits != size:
         raise ValueError(f"need a counts entry per basis state, got {size}")
-    matrix = np.zeros((size, size))
     for j, counts in enumerate(calibration_counts):
         if counts.num_bits != num_bits:
             raise ValueError(
                 f"calibration column {j} covers {counts.num_bits} bit(s), expected {num_bits}"
             )
-        for key, value in counts.data.items():
-            matrix[int(key, 2), j] = value / counts.total
-    return AssignmentMatrix(num_bits, matrix)
-
-
-def _vector(values: dict[str, float], num_bits: int) -> np.ndarray:
-    vec = np.zeros(2**num_bits)
-    for key, value in values.items():
-        if len(key) != num_bits or set(key) - {"0", "1"}:
-            raise ValueError(f"bad outcome key {key!r} for {num_bits} bit(s)")
-        vec[int(key, 2)] += value
-    return vec
+    columns = [np.array(counts.per_outcome, dtype=float) / counts.total for counts in calibration_counts]
+    return AssignmentMatrix(num_bits, np.column_stack(columns))
 
 
 def _solve(observed: np.ndarray, assignment: AssignmentMatrix) -> tuple[np.ndarray, float]:
@@ -139,23 +128,19 @@ def mitigate(counts: Counts, assignment: AssignmentMatrix) -> MitigatedDistribut
         raise ValueError(
             f"counts cover {counts.num_bits} bit(s), assignment expects {assignment.num_bits}"
         )
-    observed = _vector({k: float(v) for k, v in counts.data.items()}, counts.num_bits)
-    observed /= counts.total
+    observed = np.array(counts.per_outcome, dtype=float) / counts.total
     corrected, residual = _solve(observed, assignment)
-    width = assignment.num_bits
-    probabilities = {format(i, f"0{width}b"): float(p) for i, p in enumerate(corrected)}
-    pseudo = {key: p * counts.total for key, p in probabilities.items()}
-    return MitigatedDistribution(probabilities, pseudo, counts.total, residual)
+    return MitigatedDistribution(corrected, corrected * counts.total, counts.total, residual)
 
 
-def mitigate_probabilities(
-    probabilities: dict[str, float], assignment: AssignmentMatrix
-) -> dict[str, float]:
+def mitigate_probabilities(probabilities: np.ndarray, assignment: AssignmentMatrix) -> np.ndarray:
     """Correct an exact outcome distribution with the same solver."""
-    observed = _vector(probabilities, assignment.num_bits)
-    corrected, _ = _solve(observed, assignment)
-    width = assignment.num_bits
-    return {format(i, f"0{width}b"): float(p) for i, p in enumerate(corrected)}
+    observed = np.asarray(probabilities, dtype=float)
+    if observed.shape != (2**assignment.num_bits,):
+        raise ValueError(
+            f"distribution has shape {observed.shape}, assignment expects {assignment.num_bits} bit(s)"
+        )
+    return _solve(observed, assignment)[0]
 
 
 def _without_gate_noise(noise: NoiseModel) -> NoiseModel:
@@ -180,13 +165,11 @@ def run_calibration(
     circuits = build_readout_calibration_circuits(len(qubits), qubits)
     results = []
     for basis, circuit in enumerate(circuits):
-        counts: Counts | None = None
-        for rep in range(config.repetitions):
-            seed = derive_seed(config.seed, "cal", *qubits, basis, rep)
-            drawn = simulate(circuit, model, config.shots_per_rep, seed)
-            counts = drawn if counts is None else counts + drawn
-        assert counts is not None
-        results.append(counts)
+        draws = [
+            simulate(circuit, model, config.shots_per_rep, derive_seed(config.seed, "cal", *qubits, basis, rep))
+            for rep in range(config.repetitions)
+        ]
+        results.append(sum(draws[1:], draws[0]))
     return results
 
 
@@ -197,15 +180,14 @@ def _mitigate_orientation(
     for n, cell in result.per_n.items():
         if cell.counts is None:
             raise ValueError("stage has no raw counts; was the report already mitigated?")
-        ground_key = "0" * assignment.num_bits
         corrected = mitigate(cell.counts, assignment)
-        exact = mitigate_probabilities(cell.exact_probs, assignment)
+        exact = mitigate_probabilities(cell.exact_probs, assignment).tolist()
         per_n[n] = StageResult(
-            ground_count=corrected.pseudo_counts[ground_key],
+            ground_count=float(corrected.pseudo_counts[0]),
             total=cell.total,
-            g=corrected.probabilities[ground_key],
-            exact_p00=exact[ground_key],
-            exact_probs=exact,
+            g=float(corrected.probabilities[0]),
+            exact_p00=exact[0],
+            exact_probs=tuple(exact),
             counts=None,
         )
     return OrientationResult(result.control, result.target, per_n)

@@ -21,6 +21,7 @@ __all__ = [
     "DensityState",
     "KrausChannel",
     "Counts",
+    "bitstring",
     "pauli_string_matrix",
     "depolarizing_channel",
     "thermal_relaxation_channel",
@@ -113,48 +114,50 @@ class KrausChannel:
         return float(np.max(np.abs(total - np.eye(self.dim))))
 
 
+def bitstring(index: int, width: int) -> str:
+    """Outcome label of an index: little-endian, so bit 0 is the rightmost character."""
+    return format(index, f"0{width}b")
+
+
 @dataclass(frozen=True)
 class Counts:
-    """Shot counts keyed by little-endian bitstring (bit 0 rightmost)."""
+    """Shot counts indexed by outcome; bit j of an index is classical bit j.
 
-    data: dict[str, int]
-    total: int
+    Outcome 0 reads all zeros. data gives the report form, keyed by
+    bitstring with zero counts left out.
+    """
+
+    per_outcome: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", dict(self.data))
-        if not self.data:
-            raise ValueError("counts need at least one outcome")
-        width = len(next(iter(self.data)))
-        for key, value in self.data.items():
-            if len(key) != width or set(key) - {"0", "1"}:
-                raise ValueError(f"bad outcome key {key!r}")
+        object.__setattr__(self, "per_outcome", tuple(self.per_outcome))
+        size = len(self.per_outcome)
+        if size < 2 or size & (size - 1):
+            raise ValueError(f"need one count per outcome of at least one bit, got {size} count(s)")
+        for value in self.per_outcome:
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"bad count for {key!r}: {value!r}")
-        if sum(self.data.values()) != self.total:
-            raise ValueError(f"counts sum to {sum(self.data.values())}, total says {self.total}")
+                raise ValueError(f"bad count {value!r}")
 
-    @classmethod
-    def of(cls, data: dict[str, int]) -> "Counts":
-        return cls(data, sum(data.values()))
+    @property
+    def total(self) -> int:
+        return sum(self.per_outcome)
 
     @property
     def num_bits(self) -> int:
-        return len(next(iter(self.data)))
-
-    def get(self, outcome: str) -> int:
-        return self.data.get(outcome, 0)
+        return len(self.per_outcome).bit_length() - 1
 
     @property
     def ground_count(self) -> int:
-        return self.get("0" * self.num_bits)
+        return self.per_outcome[0]
+
+    @property
+    def data(self) -> dict[str, int]:
+        return {bitstring(i, self.num_bits): c for i, c in enumerate(self.per_outcome) if c}
 
     def __add__(self, other: "Counts") -> "Counts":
         if self.num_bits != other.num_bits:
             raise ValueError(f"cannot merge counts over {self.num_bits} and {other.num_bits} bits")
-        merged = dict(self.data)
-        for key, value in other.data.items():
-            merged[key] = merged.get(key, 0) + value
-        return Counts(merged, self.total + other.total)
+        return Counts(tuple(a + b for a, b in zip(self.per_outcome, other.per_outcome)))
 
 
 # ── channels ────────────────────────────────────────────────────────────
@@ -278,7 +281,7 @@ def readout_confusion_matrix(readout: list[tuple[float, float]]) -> np.ndarray:
     """Joint column-stochastic confusion matrix from per-qubit (p01, p10).
 
     Entry [observed, true] uses the same little-endian bit order as outcome
-    bitstrings: pair j describes bit j.
+    indices: pair j describes bit j.
     """
     joint = np.array([[1.0]])
     for p01, p10 in readout:
@@ -328,22 +331,12 @@ def measured_distribution(
     return probs
 
 
-def sample_counts(
-    state: DensityState,
-    measured_qubits: tuple[int, ...],
-    shots: int,
-    readout: list[tuple[float, float]] | None = None,
-    seed: int = 0,
-) -> Counts:
-    """Draw shot counts from the exact outcome distribution, reproducibly."""
+def sample_counts(probs: np.ndarray, shots: int, seed: int = 0) -> Counts:
+    """Draw shot counts from an outcome distribution, reproducibly."""
     if isinstance(shots, bool) or not isinstance(shots, int) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    probs = measured_distribution(state, measured_qubits, readout)
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs / probs.sum())
-    width = len(measured_qubits)
-    data = {format(i, f"0{width}b"): int(c) for i, c in enumerate(draws) if c}
-    return Counts(data, shots)
+    return Counts(tuple(rng.multinomial(shots, probs / probs.sum()).tolist()))
 
 
 # ── circuit execution ───────────────────────────────────────────────────
@@ -400,20 +393,21 @@ def evolve(circuit: Circuit, noise: NoiseModel) -> tuple[DensityState, tuple[int
     return state, measured
 
 
-def simulate(circuit: Circuit, noise: NoiseModel, shots: int, seed: int = 0) -> Counts:
-    """Noisy run of a measured circuit: exact evolution plus sampled readout."""
-    state, measured = evolve(circuit, noise)
-    if not measured:
-        raise ValueError("circuit has no measurements to sample")
-    return sample_counts(state, measured, shots, noise.readout_pairs(measured), seed)
-
-
-def exact_distribution(circuit: Circuit, noise: NoiseModel, include_readout: bool = True) -> dict[str, float]:
-    """Exact outcome probabilities of a measured circuit under the model."""
+def _outcome_probs(circuit: Circuit, noise: NoiseModel, include_readout: bool) -> np.ndarray:
     state, measured = evolve(circuit, noise)
     if not measured:
         raise ValueError("circuit has no measurements")
     readout = noise.readout_pairs(measured) if include_readout else None
-    probs = measured_distribution(state, measured, readout)
-    width = len(measured)
-    return {format(i, f"0{width}b"): float(p) for i, p in enumerate(probs)}
+    return measured_distribution(state, measured, readout)
+
+
+def simulate(circuit: Circuit, noise: NoiseModel, shots: int, seed: int = 0) -> Counts:
+    """Noisy run of a measured circuit: exact evolution plus sampled readout."""
+    return sample_counts(_outcome_probs(circuit, noise, True), shots, seed)
+
+
+def exact_distribution(circuit: Circuit, noise: NoiseModel, include_readout: bool = True) -> dict[str, float]:
+    """Exact outcome probabilities of a measured circuit, keyed by bitstring."""
+    probs = _outcome_probs(circuit, noise, include_readout)
+    width = len(probs).bit_length() - 1
+    return {bitstring(i, width): float(p) for i, p in enumerate(probs)}

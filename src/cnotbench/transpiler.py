@@ -112,13 +112,17 @@ class CnotDecision:
 
 @dataclass(frozen=True)
 class TranspileReport:
-    """Rewritten circuit, per-CNOT decisions, and the success estimate."""
+    """Rewritten circuit, per-CNOT decisions, and the success estimate.
+
+    estimate_error says why estimated_success is None.
+    """
 
     circuit: Circuit
     decisions: tuple[CnotDecision, ...]
     estimated_success: float | None
     gates_before: int
     gates_after: int
+    estimate_error: str | None
 
     def decision_lines(self) -> list[str]:
         return [json.dumps(d.to_document(), sort_keys=True) for d in self.decisions]
@@ -127,29 +131,19 @@ class TranspileReport:
 # ── success estimation ──────────────────────────────────────────────────
 
 
-def _resolve_params(
-    cmap: CouplingMap, qubit_params: tuple[QubitParams, ...] | None
-) -> tuple[QubitParams, ...] | None:
-    return qubit_params if qubit_params is not None else cmap.qubit_params
-
-
-def _single_qubit_success(gate: Gate, params: tuple[QubitParams, ...] | None) -> float:
+def _single_qubit_success(gate: Gate, cmap: CouplingMap) -> float:
+    params = cmap.qubit_params
     if params is None:
         raise ValueError("single-qubit error rates are needed but no qubit parameters were given")
     return 1.0 - params[gate.qubits[0]].gate_error(gate.kind)
 
 
-def estimate_success(
-    circuit: Circuit,
-    cmap: CouplingMap,
-    qubit_params: tuple[QubitParams, ...] | None = None,
-) -> float:
+def estimate_success(circuit: Circuit, cmap: CouplingMap) -> float:
     """Product of per-gate success probabilities (1 - error) over the circuit.
 
     Barriers and measurements contribute nothing; every CNOT direction used
     must be characterized on the map.
     """
-    params = _resolve_params(cmap, qubit_params)
     success = 1.0
     for gate in circuit.instructions:
         if gate.kind in (GateKind.BARRIER, GateKind.MEASURE):
@@ -157,17 +151,13 @@ def estimate_success(
         if gate.kind is GateKind.CNOT:
             success *= 1.0 - cmap.edge(gate.control, gate.target).cnot_error
         else:
-            success *= _single_qubit_success(gate, params)
+            success *= _single_qubit_success(gate, cmap)
     return success
 
 
-def _cnot_options(
-    control: int,
-    target: int,
-    cmap: CouplingMap,
-    params: tuple[QubitParams, ...] | None,
-) -> tuple[float | None, float | None]:
+def _cnot_options(control: int, target: int, cmap: CouplingMap) -> tuple[float | None, float | None]:
     """Success of the direct and sandwich realizations, where computable."""
+    params = cmap.qubit_params
     direct = None
     if cmap.has_edge(control, target):
         direct = 1.0 - cmap.edge(control, target).cnot_error
@@ -180,41 +170,42 @@ def _cnot_options(
 
 
 def _finish(
-    original: Circuit,
-    rewritten: list[Gate],
-    decisions: list[CnotDecision],
-    cmap: CouplingMap,
-    params: tuple[QubitParams, ...] | None,
+    original: Circuit, rewritten: list[Gate], decisions: list[CnotDecision], cmap: CouplingMap
 ) -> TranspileReport:
     circuit = Circuit(original.num_qubits, original.num_clbits, tuple(rewritten))
+    if circuit.num_qubits > cmap.num_qubits:
+        for gate in circuit.instructions:
+            if gate.is_unitary and max(gate.qubits) >= cmap.num_qubits:
+                raise ValueError(
+                    f"{gate.kind.value} on qubit {max(gate.qubits)} is outside the "
+                    f"{cmap.num_qubits}-qubit coupling map"
+                )
+    success: float | None = None
+    error = None
     try:
-        success: float | None = estimate_success(circuit, cmap, params)
-    except ValueError:
-        success = None
+        success = estimate_success(circuit, cmap)
+    except ValueError as exc:
+        error = str(exc)
     return TranspileReport(
         circuit=circuit,
         decisions=tuple(decisions),
         estimated_success=success,
         gates_before=original.unitary_gate_count,
         gates_after=circuit.unitary_gate_count,
+        estimate_error=error,
     )
 
 
 # ── passes ──────────────────────────────────────────────────────────────
 
 
-def enforce_direction(
-    circuit: Circuit,
-    cmap: CouplingMap,
-    qubit_params: tuple[QubitParams, ...] | None = None,
-) -> TranspileReport:
+def enforce_direction(circuit: Circuit, cmap: CouplingMap) -> TranspileReport:
     """Realize every CNOT in the hardware's physical control direction.
 
     A CNOT already oriented with the physical direction is kept; the
     reversed one becomes the Hadamard sandwich. CNOTs on uncoupled pairs
     are errors.
     """
-    params = _resolve_params(cmap, qubit_params)
     rewritten: list[Gate] = []
     decisions: list[CnotDecision] = []
     for index, gate in enumerate(circuit.instructions):
@@ -223,7 +214,7 @@ def enforce_direction(
             continue
         control, target = gate.control, gate.target
         physical = cmap.physical_control(control, target)
-        direct, sandwich = _cnot_options(control, target, cmap, params)
+        direct, sandwich = _cnot_options(control, target, cmap)
         if control == physical:
             rewritten.append(gate)
             realization = "direct"
@@ -233,21 +224,16 @@ def enforce_direction(
         decisions.append(
             CnotDecision(index, control, target, realization, direct, sandwich)
         )
-    return _finish(circuit, rewritten, decisions, cmap, params)
+    return _finish(circuit, rewritten, decisions, cmap)
 
 
-def orient_for_error(
-    circuit: Circuit,
-    cmap: CouplingMap,
-    qubit_params: tuple[QubitParams, ...] | None = None,
-) -> TranspileReport:
+def orient_for_error(circuit: Circuit, cmap: CouplingMap) -> TranspileReport:
     """Pick per-CNOT realizations maximizing the success product.
 
     The sandwich is chosen only when it strictly beats the direct
     realization, so ties keep the cheaper direct form and a second pass
     changes nothing.
     """
-    params = _resolve_params(cmap, qubit_params)
     rewritten: list[Gate] = []
     decisions: list[CnotDecision] = []
     for index, gate in enumerate(circuit.instructions):
@@ -255,9 +241,9 @@ def orient_for_error(
             rewritten.append(gate)
             continue
         control, target = gate.control, gate.target
-        direct, sandwich = _cnot_options(control, target, cmap, params)
+        direct, sandwich = _cnot_options(control, target, cmap)
         if direct is None and sandwich is None:
-            if cmap.has_edge(target, control) and params is None:
+            if cmap.has_edge(target, control) and cmap.qubit_params is None:
                 raise ValueError(
                     "qubit parameters are needed to cost the sandwich realization"
                 )
@@ -271,7 +257,7 @@ def orient_for_error(
         decisions.append(
             CnotDecision(index, control, target, realization, direct, sandwich)
         )
-    return _finish(circuit, rewritten, decisions, cmap, params)
+    return _finish(circuit, rewritten, decisions, cmap)
 
 
 def cancel_adjacent_hadamards(circuit: Circuit) -> Circuit:

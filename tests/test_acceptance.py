@@ -203,7 +203,7 @@ def test_criterion_6_reported_arithmetic():
 
     total = 12288
     exact = all(
-        ground_fraction(Counts.of({"00": g, "01": total - g})) == float(Fraction(g, total))
+        ground_fraction(Counts((g, total - g, 0, 0))) == float(Fraction(g, total))
         for g in range(total + 1)
     )
 

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from cnotbench.circuits import Circuit, build_n_stage
-from cnotbench.cli import main
+from cnotbench.circuits import Circuit, Gate, build_n_stage
+from cnotbench.cli import VERIFY_MAX_QUBITS, main
 from cnotbench.noise import synth_asymmetric_model
 
 FAST = ["--stages", "3", "--reps", "2", "--shots", "512"]
@@ -192,10 +192,54 @@ def test_transpile_cleanup_reduces_gates(tmp_path):
 def test_transpile_bad_circuit_document(tmp_path, capsys):
     _, map_path = transpile_inputs(tmp_path)
     bad_path = tmp_path / "bad_circuit.json"
-    write_json(bad_path, {"num_qubits": 2})
-    assert run("transpile", "--circuit", bad_path, "--map", map_path,
-               "--out", tmp_path / "x") == 2
-    assert "error:" in capsys.readouterr().err
+    for document in (
+        {"num_qubits": 2},
+        {"num_qubits": None, "num_clbits": 0, "instructions": []},
+        {"num_qubits": 2, "num_clbits": 0, "instructions": 5},
+        {"num_qubits": 2, "num_clbits": 0, "instructions": [{"kind": "H", "qubits": 0}]},
+        {"num_qubits": 2.7, "num_clbits": 0, "instructions": []},
+    ):
+        write_json(bad_path, document)
+        assert run("transpile", "--circuit", bad_path, "--map", map_path,
+                   "--out", tmp_path / "x") == 2, document
+        assert "error:" in capsys.readouterr().err
+
+
+def test_transpile_names_uncharacterized_direction_in_estimate(tmp_path, capsys):
+    circuit_path = tmp_path / "circuit.json"
+    write_json(circuit_path, Circuit(2, 0, (Gate.cnot(1, 0),)).to_document())
+    map_path = tmp_path / "map.json"
+    document = synth_asymmetric_model(0.01, 2.0).to_document()
+    # only 1 -> 0 is characterized, yet the hardware control is 0
+    document["edges"] = [e for e in document["edges"] if e["control"] == 1]
+    document["physical_direction"] = {"0-1": 0}
+    write_json(map_path, document)
+    out = tmp_path / "out"
+    assert run("transpile", "--circuit", circuit_path, "--map", map_path,
+               "--mode", "enforce", "--out", out) == 0
+    assert "success estimate unavailable (no edge characterization for (0 -> 1))" in capsys.readouterr().out
+    assert json.loads((out / "report.json").read_text())["estimated_success"] is None
+
+
+def test_transpile_gate_off_the_map_names_the_qubit(tmp_path, capsys):
+    _, map_path = transpile_inputs(tmp_path)
+    circuit_path = tmp_path / "circuit.json"
+    write_json(circuit_path, Circuit(3, 0, (Gate.h(2),)).to_document())
+    assert run("transpile", "--circuit", circuit_path, "--map", map_path,
+               "--mode", "enforce", "--out", tmp_path / "x") == 1
+    assert "H on qubit 2 is outside the 2-qubit coupling map" in capsys.readouterr().err
+
+
+def test_transpile_verify_size_limit(tmp_path, capsys):
+    _, map_path = transpile_inputs(tmp_path)
+    circuit_path = tmp_path / "circuit.json"
+    for num_qubits, code in ((VERIFY_MAX_QUBITS, 0), (VERIFY_MAX_QUBITS + 1, 2)):
+        body = (Gate.h(0), Gate.cnot(0, 1))
+        write_json(circuit_path, Circuit(num_qubits, 0, body).to_document())
+        assert run("transpile", "--circuit", circuit_path, "--map", map_path,
+                   "--verify", "--out", tmp_path / str(num_qubits)) == code
+    assert "VERIFY_MAX_QUBITS = 10" in capsys.readouterr().err
+    assert not (tmp_path / str(VERIFY_MAX_QUBITS + 1)).exists()
 
 
 def test_transpile_uncoupled_cnot_is_runtime_failure(tmp_path, capsys):

@@ -34,10 +34,7 @@ SMALL = ExperimentConfig(max_stages=3, repetitions=2, shots_per_rep=512, seed=17
 
 def test_ground_fraction_exact_rationals():
     for g_count in (0, 1, 600, 11288, 12288):
-        counts = Counts(
-            {"00": g_count, "11": 12288 - g_count} if g_count < 12288 else {"00": 12288},
-            12288,
-        )
+        counts = Counts((g_count, 0, 0, 12288 - g_count))
         assert ground_fraction(counts) == float(Fraction(g_count, 12288))
 
 
@@ -90,8 +87,8 @@ def test_run_orientation_totals_and_shape():
         assert cell.total == SMALL.total_shots
         assert cell.counts is not None and cell.counts.total == cell.total
         assert cell.g == cell.ground_count / cell.total
-        assert abs(sum(cell.exact_probs.values()) - 1.0) < 1e-9
-        assert cell.exact_p00 == cell.exact_probs["00"]
+        assert abs(sum(cell.exact_probs) - 1.0) < 1e-9
+        assert cell.exact_p00 == cell.exact_probs[0]
 
 
 def test_run_orientation_matches_per_repetition_simulate():

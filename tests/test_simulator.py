@@ -57,19 +57,17 @@ def test_ground_state_and_validate():
 
 
 def test_counts_invariants():
-    counts = Counts.of({"00": 3, "11": 5})
+    counts = Counts((3, 0, 0, 5))
     assert counts.total == 8 and counts.num_bits == 2
-    assert counts.ground_count == 3 and counts.get("01") == 0
-    merged = counts + Counts.of({"00": 1, "01": 2})
+    assert counts.ground_count == 3 and counts.per_outcome[1] == 0
+    merged = counts + Counts((1, 2, 0, 0))
     assert merged.data == {"00": 4, "11": 5, "01": 2} and merged.total == 11
     with pytest.raises(ValueError):
-        Counts({"00": 3}, 4)  # total mismatch
+        Counts((1, 2, 3))  # not one count per outcome of whole bits
     with pytest.raises(ValueError):
-        Counts.of({"00": 1, "0": 2})  # ragged keys
+        Counts((1, -1))
     with pytest.raises(ValueError):
-        Counts.of({"02": 1})
-    with pytest.raises(ValueError):
-        counts + Counts.of({"0": 1})
+        counts + Counts((1, 0))
 
 
 # ── gates ───────────────────────────────────────────────────────────────
@@ -254,11 +252,11 @@ def test_measured_distribution_readout_confusion():
 
 
 def test_sample_counts_deterministic_and_complete():
-    state = bell_state()
-    a = sample_counts(state, (0, 1), 4096, seed=42)
-    b = sample_counts(state, (0, 1), 4096, seed=42)
+    probs = measured_distribution(bell_state(), (0, 1))
+    a = sample_counts(probs, 4096, seed=42)
+    b = sample_counts(probs, 4096, seed=42)
     assert a == b and a.total == 4096
-    c = sample_counts(state, (0, 1), 4096, seed=43)
+    c = sample_counts(probs, 4096, seed=43)
     assert c != a
     assert set(a.data) <= {"00", "11"}  # Bell state has no odd-parity outcomes
 
@@ -267,15 +265,18 @@ def test_sample_counts_binomial_band():
     # |00> through symmetric 2.5% readout: P(00) = 0.950625; a 4-sigma
     # band around 11681.28 of 12288 shots is about +/- 96
     readout = [(0.025, 0.025), (0.025, 0.025)]
-    counts = sample_counts(DensityState.ground(2), (0, 1), 12288, readout, seed=9)
-    assert abs(counts.get("00") - 11681.28) < 97.0
+    probs = measured_distribution(DensityState.ground(2), (0, 1), readout)
+    counts = sample_counts(probs, 12288, seed=9)
+    assert abs(counts.ground_count - 11681.28) < 97.0
 
 
 def test_sample_counts_validation():
     with pytest.raises(ValueError):
-        sample_counts(DensityState.ground(1), (0,), 0)
+        sample_counts(np.array([1.0, 0.0]), 0)
     with pytest.raises(ValueError):
-        sample_counts(DensityState.ground(1), (), 10)
+        sample_counts(np.array([0.5, 0.3, 0.2]), 10)  # not a distribution over whole bits
+    with pytest.raises(ValueError):
+        measured_distribution(DensityState.ground(1), ())
 
 
 # ── circuit execution ───────────────────────────────────────────────────
@@ -346,4 +347,4 @@ def test_exact_distribution_matches_sampling_in_the_limit():
     dist = exact_distribution(circuit, model)
     counts = simulate(circuit, model, 200_000, seed=3)
     for key, p in dist.items():
-        assert abs(counts.get(key) / 200_000 - p) < 0.005
+        assert abs(counts.data.get(key, 0) / 200_000 - p) < 0.005
