@@ -46,6 +46,10 @@ class GateKind(Enum):
     BARRIER = "BARRIER"
     MEASURE = "MEASURE"
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # is cheaper than Enum's hash of the name.
+    __hash__ = object.__hash__
+
 
 UNITARY_KINDS = frozenset(
     {GateKind.H, GateKind.X, GateKind.SX, GateKind.U, GateKind.CNOT}
@@ -76,13 +80,13 @@ class Gate:
     clbits: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "clbits", tuple(int(c) for c in self.clbits))
+        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
+        object.__setattr__(self, "clbits", tuple(map(int, self.clbits)))
 
-        if any(q < 0 for q in self.qubits):
+        if self.qubits and min(self.qubits) < 0:
             raise ValueError(f"negative qubit index in {self.qubits}")
-        if any(c < 0 for c in self.clbits):
+        if self.clbits and min(self.clbits) < 0:
             raise ValueError(f"negative classical bit index in {self.clbits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind.value} addresses a qubit twice: {self.qubits}")
@@ -100,7 +104,7 @@ class Gate:
             raise ValueError(
                 f"{self.kind.value} takes {expected_params} parameter(s), got {self.params}"
             )
-        if any(not math.isfinite(p) for p in self.params):
+        if not all(map(math.isfinite, self.params)):
             raise ValueError(f"gate angles must be finite, got {self.params}")
 
         expected_clbits = 1 if self.kind is GateKind.MEASURE else 0
@@ -167,21 +171,7 @@ class Gate:
 
     @staticmethod
     def from_document(doc: dict) -> "Gate":
-        if not isinstance(doc, dict):
-            raise ValueError(f"instruction must be an object, got {type(doc).__name__}")
-        unknown = set(doc) - {"kind", "qubits", "params", "clbits"}
-        if unknown:
-            raise ValueError(f"unknown instruction fields: {sorted(unknown)}")
-        try:
-            kind = GateKind(doc["kind"])
-        except (KeyError, ValueError):
-            raise ValueError(f"unknown gate kind: {doc.get('kind')!r}") from None
-        return Gate(
-            kind,
-            _list_of(doc.get("qubits", []), (int,), "qubits"),
-            _list_of(doc.get("params", []), (int, float), "params"),
-            _list_of(doc.get("clbits", []), (int,), "clbits"),
-        )
+        return Gate(*_instruction_fields(doc))
 
 
 @dataclass(frozen=True)
@@ -272,8 +262,47 @@ class Circuit:
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         if not isinstance(doc["instructions"], list):
             raise ValueError(f"instructions must be a list, got {doc['instructions']!r}")
-        gates = tuple(Gate.from_document(g) for g in doc["instructions"])
-        return Circuit(doc["num_qubits"], doc["num_clbits"], gates)
+        # Every document is type-checked; equal ones then share one Gate,
+        # so each distinct gate is validated once.
+        interned: dict[tuple, Gate] = {}
+        gates = []
+        for item in doc["instructions"]:
+            fields = _instruction_fields(item)
+            key = fields
+            if 0 in fields[2]:
+                # 0.0 == -0.0, but the sign is written back out.
+                key = (*fields, tuple(math.copysign(1.0, p) for p in fields[2]))
+            gate = interned.get(key)
+            if gate is None:
+                gate = interned[key] = Gate(*fields)
+            gates.append(gate)
+        return Circuit(doc["num_qubits"], doc["num_clbits"], tuple(gates))
+
+
+_INSTRUCTION_FIELDS = frozenset({"kind", "qubits", "params", "clbits"})
+# What GateKind() accepts: a value, or a member standing for itself.
+_KINDS = {**{k.value: k for k in GateKind}, **{k: k for k in GateKind}}
+
+
+def _instruction_fields(doc: object) -> tuple[GateKind, tuple, tuple, tuple]:
+    """Type-checked (kind, qubits, params, clbits) of an instruction document.
+
+    Gate() checks the values; this checks only the JSON types.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"instruction must be an object, got {type(doc).__name__}")
+    if not _INSTRUCTION_FIELDS.issuperset(doc):
+        raise ValueError(f"unknown instruction fields: {sorted(set(doc) - _INSTRUCTION_FIELDS)}")
+    try:
+        kind = _KINDS[doc["kind"]]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown gate kind: {doc.get('kind')!r}") from None
+    return (
+        kind,
+        _list_of(doc.get("qubits", []), (int,), "qubits"),
+        _list_of(doc.get("params", []), (int, float), "params"),
+        _list_of(doc.get("clbits", []), (int,), "clbits"),
+    )
 
 
 def _list_of(value: object, types: tuple[type, ...], what: str) -> tuple:
@@ -371,16 +400,32 @@ def embed_operator(op: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> 
     return full
 
 
+# circuit_unitary keeps at most this many bytes of lifted gate matrices.
+_LIFTED_BYTES = 32 * 2**20
+
+
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Composite unitary of a measurement-free circuit; barriers are skipped."""
+    """Composite unitary of a measurement-free circuit; barriers are skipped.
+
+    Each distinct gate is lifted onto the register once per call (as long
+    as the lifted matrices fit in _LIFTED_BYTES), then the lifted matrices
+    are multiplied in circuit order.
+    """
     dim = 2**circuit.num_qubits
+    room = max(1, _LIFTED_BYTES // (16 * dim * dim))
+    lifted: dict[Gate, np.ndarray] = {}
     total = np.eye(dim, dtype=complex)
     for gate in circuit.instructions:
         if gate.kind is GateKind.BARRIER:
             continue
         if gate.kind is GateKind.MEASURE:
             raise ValueError("circuit_unitary needs a measurement-free circuit")
-        total = embed_operator(gate_unitary(gate), gate.qubits, circuit.num_qubits) @ total
+        op = lifted.get(gate)
+        if op is None:
+            op = embed_operator(gate_unitary(gate), gate.qubits, circuit.num_qubits)
+            if len(lifted) < room:
+                lifted[gate] = op
+        total = op @ total
     return total
 
 

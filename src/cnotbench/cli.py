@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .circuits import Circuit, circuit_unitary, unitaries_equal_up_to_phase
+from .circuits import Circuit, Gate, circuit_unitary, unitaries_equal_up_to_phase
 from .experiment import ExperimentConfig, report_rows, run_asymmetry_experiment
 from .mitigation import build_assignment_matrix, compare_mitigated, mitigate_report, run_calibration
 from .noise import NoiseModel, SchemaError, load_noise_model
@@ -39,6 +39,36 @@ def _load_json(path: str) -> dict:
 
 def _write_json(path: Path, document: dict) -> None:
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _circuit_json(circuit: Circuit) -> str:
+    """What _write_json writes for circuit.to_document(), each distinct gate rendered once."""
+    fragments: dict[Gate, str] = {}
+    parts = []
+    for gate in circuit.instructions:
+        text = fragments.get(gate)
+        if text is None:
+            text = fragments[gate] = _instruction_json(gate.to_document())
+        parts.append(text)
+    instructions = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+    return (f'{{\n  "instructions": {instructions},\n  "num_clbits": {circuit.num_clbits},\n'
+            f'  "num_qubits": {circuit.num_qubits}\n}}\n')
+
+
+def _instruction_json(doc: dict) -> str:
+    """One instruction as json.dumps(..., indent=2, sort_keys=True) nests it two levels deep.
+
+    Its values are strings or non-empty lists of ints and finite floats,
+    which json writes as their repr.
+    """
+    fields = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, str):
+            fields.append(f'"{key}": {json.dumps(value)}')
+        else:
+            fields.append(f'"{key}": [\n        ' + ",\n        ".join(map(repr, value)) + "\n      ]")
+    return "    {\n      " + ",\n      ".join(fields) + "\n    }"
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -196,10 +226,15 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
         report = orient_for_error(circuit, cmap)
 
     final = report.circuit
-    estimated = report.estimated_success
+    estimated, estimate_error = report.estimated_success, report.estimate_error
+    gates_after = report.gates_after
     if args.cleanup_hadamards:
         final = cancel_adjacent_hadamards(final)
-        estimated = estimate_success(final, cmap)
+        gates_after = final.unitary_gate_count
+        try:
+            estimated, estimate_error = estimate_success(final, cmap), None
+        except ValueError as exc:
+            estimated, estimate_error = None, str(exc)
 
     if args.verify:
         before = circuit_unitary(circuit.without_measurements())
@@ -210,7 +245,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "circuit.json", final.to_document())
+    (out / "circuit.json").write_text(_circuit_json(final), encoding="utf-8")
     with open(out / "decisions.jsonl", "w", encoding="utf-8") as handle:
         for line in report.decision_lines():
             handle.write(line + "\n")
@@ -220,14 +255,14 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "estimated_success": estimated,
             "gates_before": report.gates_before,
-            "gates_after": final.unitary_gate_count,
+            "gates_after": gates_after,
             "cnot_count": sum(1 for d in report.decisions),
             "sandwiched": sum(1 for d in report.decisions if d.realization == "sandwich"),
             "verified": bool(args.verify),
         },
     )
     if estimated is None:
-        print(f"transpiled; success estimate unavailable ({report.estimate_error})")
+        print(f"transpiled; success estimate unavailable ({estimate_error})")
     else:
         print(f"transpiled; estimated success {estimated:.6f}")
     return 0

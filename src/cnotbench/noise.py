@@ -332,7 +332,7 @@ def load_noise_model(document: dict) -> NoiseModel:
     for key, value in document["physical_direction"].items():
         path = f"$.physical_direction[{key!r}]"
         parts = key.split("-") if isinstance(key, str) else []
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise SchemaError(path, 'key must look like "0-1"')
         a, b = int(parts[0]), int(parts[1])
         if a >= b:

@@ -10,6 +10,7 @@ rates carried by the coupling map.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, GateKind, reverse_cnot
@@ -125,7 +126,21 @@ class TranspileReport:
     estimate_error: str | None
 
     def decision_lines(self) -> list[str]:
-        return [json.dumps(d.to_document(), sort_keys=True) for d in self.decisions]
+        # Decisions that differ only in index share one rendering around it.
+        # Zero scores are not shared: 0.0 == -0.0, but they render differently.
+        shared: dict[tuple, tuple[str, str]] = {}
+        lines = []
+        for d in self.decisions:
+            key = (d.control, d.target, d.realization, d.est_success_direct, d.est_success_sandwich)
+            parts = shared.get(key)
+            if parts is None:
+                slot = f'"index": {d.index}'
+                head, _, tail = json.dumps(d.to_document(), sort_keys=True).partition(slot)
+                parts = (head + '"index": ', tail)
+                if 0 not in key[3:]:
+                    shared[key] = parts
+            lines.append(f"{parts[0]}{d.index}{parts[1]}")
+        return lines
 
 
 # ── success estimation ──────────────────────────────────────────────────
@@ -145,13 +160,20 @@ def estimate_success(circuit: Circuit, cmap: CouplingMap) -> float:
     must be characterized on the map.
     """
     success = 1.0
+    # Each (kind, qubits) factor is derived once; the product keeps circuit order.
+    factors: dict[tuple[GateKind, tuple[int, ...]], float] = {}
     for gate in circuit.instructions:
-        if gate.kind in (GateKind.BARRIER, GateKind.MEASURE):
+        if gate.kind is GateKind.BARRIER or gate.kind is GateKind.MEASURE:
             continue
-        if gate.kind is GateKind.CNOT:
-            success *= 1.0 - cmap.edge(gate.control, gate.target).cnot_error
-        else:
-            success *= _single_qubit_success(gate, cmap)
+        key = (gate.kind, gate.qubits)
+        factor = factors.get(key)
+        if factor is None:
+            if gate.kind is GateKind.CNOT:
+                factor = 1.0 - cmap.edge(gate.control, gate.target).cnot_error
+            else:
+                factor = _single_qubit_success(gate, cmap)
+            factors[key] = factor
+        success *= factor
     return success
 
 
@@ -199,6 +221,34 @@ def _finish(
 # ── passes ──────────────────────────────────────────────────────────────
 
 
+def _rewrite(
+    circuit: Circuit, cmap: CouplingMap, choose: Callable[[int, int, float | None, float | None], str]
+) -> TranspileReport:
+    """Realize each CNOT as choose(control, target, direct, sandwich) says.
+
+    Options, choice and sandwich gates are worked out once per direction.
+    """
+    rewritten: list[Gate] = []
+    decisions: list[CnotDecision] = []
+    plans: dict[tuple[int, ...], tuple[str, float | None, float | None, tuple[Gate, ...]]] = {}
+    for index, gate in enumerate(circuit.instructions):
+        if gate.kind is not GateKind.CNOT:
+            rewritten.append(gate)
+            continue
+        plan = plans.get(gate.qubits)
+        if plan is None:
+            control, target = gate.qubits
+            direct, sandwich = _cnot_options(control, target, cmap)
+            realization = choose(control, target, direct, sandwich)
+            # Gates are immutable, so every CNOT on this direction can share them.
+            gates = reverse_cnot(control, target) if realization == "sandwich" else (gate,)
+            plan = plans[gate.qubits] = (realization, direct, sandwich, gates)
+        realization, direct, sandwich, gates = plan
+        rewritten.extend(gates)
+        decisions.append(CnotDecision(index, *gate.qubits, realization, direct, sandwich))
+    return _finish(circuit, rewritten, decisions, cmap)
+
+
 def enforce_direction(circuit: Circuit, cmap: CouplingMap) -> TranspileReport:
     """Realize every CNOT in the hardware's physical control direction.
 
@@ -206,25 +256,11 @@ def enforce_direction(circuit: Circuit, cmap: CouplingMap) -> TranspileReport:
     reversed one becomes the Hadamard sandwich. CNOTs on uncoupled pairs
     are errors.
     """
-    rewritten: list[Gate] = []
-    decisions: list[CnotDecision] = []
-    for index, gate in enumerate(circuit.instructions):
-        if gate.kind is not GateKind.CNOT:
-            rewritten.append(gate)
-            continue
-        control, target = gate.control, gate.target
-        physical = cmap.physical_control(control, target)
-        direct, sandwich = _cnot_options(control, target, cmap)
-        if control == physical:
-            rewritten.append(gate)
-            realization = "direct"
-        else:
-            rewritten.extend(reverse_cnot(control, target))
-            realization = "sandwich"
-        decisions.append(
-            CnotDecision(index, control, target, realization, direct, sandwich)
-        )
-    return _finish(circuit, rewritten, decisions, cmap)
+
+    def choose(control: int, target: int, direct, sandwich) -> str:
+        return "direct" if control == cmap.physical_control(control, target) else "sandwich"
+
+    return _rewrite(circuit, cmap, choose)
 
 
 def orient_for_error(circuit: Circuit, cmap: CouplingMap) -> TranspileReport:
@@ -234,14 +270,8 @@ def orient_for_error(circuit: Circuit, cmap: CouplingMap) -> TranspileReport:
     realization, so ties keep the cheaper direct form and a second pass
     changes nothing.
     """
-    rewritten: list[Gate] = []
-    decisions: list[CnotDecision] = []
-    for index, gate in enumerate(circuit.instructions):
-        if gate.kind is not GateKind.CNOT:
-            rewritten.append(gate)
-            continue
-        control, target = gate.control, gate.target
-        direct, sandwich = _cnot_options(control, target, cmap)
+
+    def choose(control: int, target: int, direct, sandwich) -> str:
         if direct is None and sandwich is None:
             if cmap.has_edge(target, control) and cmap.qubit_params is None:
                 raise ValueError(
@@ -249,15 +279,10 @@ def orient_for_error(circuit: Circuit, cmap: CouplingMap) -> TranspileReport:
                 )
             raise ValueError(f"qubits ({control}, {target}) are not a coupled pair")
         if direct is None or (sandwich is not None and sandwich > direct):
-            rewritten.extend(reverse_cnot(control, target))
-            realization = "sandwich"
-        else:
-            rewritten.append(gate)
-            realization = "direct"
-        decisions.append(
-            CnotDecision(index, control, target, realization, direct, sandwich)
-        )
-    return _finish(circuit, rewritten, decisions, cmap)
+            return "sandwich"
+        return "direct"
+
+    return _rewrite(circuit, cmap, choose)
 
 
 def cancel_adjacent_hadamards(circuit: Circuit) -> Circuit:

@@ -220,3 +220,62 @@ def test_from_document_rejects_garbage():
         Circuit.from_document(
             {"num_qubits": 2, "num_clbits": 0, "instructions": [], "extra": 1}
         )
+
+
+# ── parsing shares one Gate per distinct instruction ────────────────────
+
+
+def test_interned_parse_still_type_checks_every_instruction():
+    for later in ([True], [1.0], ["1"], 1):
+        doc = {
+            "num_qubits": 2,
+            "num_clbits": 0,
+            "instructions": [{"kind": "H", "qubits": [1]}, {"kind": "H", "qubits": later}],
+        }
+        with pytest.raises(ValueError, match="qubits must be a list of int"):
+            Circuit.from_document(doc)
+    doc = {
+        "num_qubits": 1,
+        "num_clbits": 0,
+        "instructions": [{"kind": "U", "qubits": [0], "params": [1, 0, 0]},
+                         {"kind": "U", "qubits": [0], "params": [True, 0, 0]}],
+    }
+    with pytest.raises(ValueError, match="params must be a list of int or float"):
+        Circuit.from_document(doc)
+
+
+def test_interned_parse_equals_per_document_parse():
+    instructions = [
+        {"kind": "H", "qubits": [0]},
+        {"kind": "CNOT", "qubits": [0, 2]},
+        {"kind": "H", "qubits": [0]},
+        {"kind": "U", "qubits": [1], "params": [0.5, 0, -1.25]},
+        {"kind": "U", "qubits": [1], "params": [0.5, 0.0, -1.25]},
+        {"kind": "U", "qubits": [1], "params": [0.5, -0.0, -1.25]},
+        {"kind": "BARRIER", "qubits": [2, 0, 1]},
+        {"kind": "CNOT", "qubits": [0, 2]},
+        {"kind": "MEASURE", "qubits": [2], "clbits": [0]},
+    ]
+    doc = {"num_qubits": 3, "num_clbits": 1, "instructions": instructions}
+    parsed = Circuit.from_document(doc)
+    assert parsed.instructions == tuple(Gate.from_document(g) for g in instructions)
+    assert parsed.instructions[0] is parsed.instructions[2]
+    assert parsed.instructions[1] is parsed.instructions[7]
+    # 0 and 0.0 are one gate; -0.0 keeps its sign.
+    assert parsed.instructions[3] is parsed.instructions[4]
+    assert math.copysign(1.0, parsed.instructions[5].params[1]) == -1.0
+    assert parsed.to_document()["instructions"][5]["params"] == [0.5, -0.0, -1.25]
+
+
+def test_memoized_circuit_unitary_matches_per_gate_fold():
+    body = (
+        Gate.h(0), Gate.u(1, 0.3, -0.7, 1.1), Gate.cnot(0, 2), Gate.barrier(0, 1, 2),
+        Gate.sx(2), Gate.u(1, 0.3, -0.7, 1.1), Gate.h(0), Gate.cnot(2, 1), Gate.x(1),
+        Gate.cnot(0, 2), Gate.u(0, 2.0, 0.1, -0.4), Gate.h(0),
+    )
+    circ = Circuit(3, 0, body)
+    fold = np.eye(8, dtype=complex)
+    for gate in body:
+        if gate.kind is not GateKind.BARRIER:
+            fold = embed_operator(gate_unitary(gate), gate.qubits, 3) @ fold
+    assert np.array_equal(circuit_unitary(circ), fold)

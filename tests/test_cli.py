@@ -8,6 +8,7 @@ import pytest
 from cnotbench.circuits import Circuit, Gate, build_n_stage
 from cnotbench.cli import VERIFY_MAX_QUBITS, main
 from cnotbench.noise import synth_asymmetric_model
+from cnotbench.transpiler import CouplingMap, orient_for_error
 
 FAST = ["--stages", "3", "--reps", "2", "--shots", "512"]
 
@@ -205,7 +206,7 @@ def test_transpile_bad_circuit_document(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
-def test_transpile_names_uncharacterized_direction_in_estimate(tmp_path, capsys):
+def one_direction_inputs(tmp_path):
     circuit_path = tmp_path / "circuit.json"
     write_json(circuit_path, Circuit(2, 0, (Gate.cnot(1, 0),)).to_document())
     map_path = tmp_path / "map.json"
@@ -214,11 +215,61 @@ def test_transpile_names_uncharacterized_direction_in_estimate(tmp_path, capsys)
     document["edges"] = [e for e in document["edges"] if e["control"] == 1]
     document["physical_direction"] = {"0-1": 0}
     write_json(map_path, document)
+    return circuit_path, map_path
+
+
+def test_transpile_names_uncharacterized_direction_in_estimate(tmp_path, capsys):
+    circuit_path, map_path = one_direction_inputs(tmp_path)
     out = tmp_path / "out"
     assert run("transpile", "--circuit", circuit_path, "--map", map_path,
                "--mode", "enforce", "--out", out) == 0
     assert "success estimate unavailable (no edge characterization for (0 -> 1))" in capsys.readouterr().out
     assert json.loads((out / "report.json").read_text())["estimated_success"] is None
+
+
+def test_transpile_cleanup_keeps_the_missing_estimate_reason(tmp_path, capsys):
+    circuit_path, map_path = one_direction_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert run("transpile", "--circuit", circuit_path, "--map", map_path,
+               "--mode", "enforce", "--cleanup-hadamards", "--out", out) == 0
+    assert "success estimate unavailable (no edge characterization for (0 -> 1))" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert report["estimated_success"] is None
+    assert report["gates_after"] == 5
+
+
+def test_map_with_non_ascii_digit_pair_is_a_schema_problem(tmp_path, capsys):
+    circuit_path, map_path = transpile_inputs(tmp_path)
+    document = json.loads(map_path.read_text(encoding="utf-8"))
+    document["physical_direction"]["\u00b2-3"] = 2
+    write_json(map_path, document)
+    assert run("transpile", "--circuit", circuit_path, "--map", map_path,
+               "--out", tmp_path / "x") == 2
+    assert "$.physical_direction['\u00b2-3']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("circuit", [
+    Circuit(3, 2, (
+        Gate.u(0, 0.25, -1.5, 3.0), Gate.h(1), Gate.cnot(0, 1), Gate.barrier(0, 1, 2),
+        Gate.u(2, 0.0, -0.0, 1e-300), Gate.cnot(0, 1), Gate.h(1), Gate.x(2), Gate.sx(0),
+        Gate.cnot(1, 2), Gate.cnot(1, 0), Gate.u(0, 0.25, -1.5, 3.0), Gate.cnot(2, 1),
+        Gate.cnot(1, 0), Gate.measure(2, 0), Gate.measure(0, 1),
+    )),
+    Circuit(3, 0, ()),
+], ids=["every-kind", "empty"])
+def test_transpile_circuit_json_bytes(tmp_path, circuit):
+    circuit_path, map_path = tmp_path / "circuit.json", tmp_path / "map.json"
+    write_json(circuit_path, circuit.to_document())
+    model = synth_asymmetric_model(0.01, 2.0).to_document()
+    model["qubits"].append(model["qubits"][0])
+    model["edges"] += [dict(e, control=e["control"] + 1, target=e["target"] + 1) for e in model["edges"]]
+    model["physical_direction"]["1-2"] = 2
+    write_json(map_path, model)
+    out = tmp_path / "out"
+    assert run("transpile", "--circuit", circuit_path, "--map", map_path, "--out", out) == 0
+    final = orient_for_error(circuit, CouplingMap.from_document(model)).circuit
+    expected = json.dumps(final.to_document(), indent=2, sort_keys=True) + "\n"
+    assert (out / "circuit.json").read_text(encoding="utf-8") == expected
 
 
 def test_transpile_gate_off_the_map_names_the_qubit(tmp_path, capsys):

@@ -85,6 +85,10 @@ def test_round_trip_is_exact():
         (lambda d: d["edges"][0].pop("duration_ns"), "$.edges[0].duration_ns"),
         (lambda d: d["physical_direction"].update({"1-0": 0}), "'1-0'"),
         (lambda d: d["physical_direction"].update({"0-1": 2}), "$"),
+        # str.isdigit accepts these digits, and int() takes the Arabic-Indic ones.
+        (lambda d: d["physical_direction"].update({"\u00b2-3": 0}), "$.physical_direction['\u00b2-3']"),
+        (lambda d: d["physical_direction"].update({"0-\u0661": 0}), "$.physical_direction['0-\u0661']"),
+        (lambda d: d["physical_direction"].update({"\u0660-1": 0}), "$.physical_direction['\u0660-1']"),
         (lambda d: d.update(extra={}), "$"),
         (lambda d: d.pop("edges"), "$.edges"),
     ],

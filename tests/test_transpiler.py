@@ -16,7 +16,9 @@ from cnotbench.circuits import (
 )
 from cnotbench.noise import DirectedEdgeParams, QubitParams, synth_asymmetric_model
 from cnotbench.transpiler import (
+    CnotDecision,
     CouplingMap,
+    TranspileReport,
     cancel_adjacent_hadamards,
     enforce_direction,
     estimate_success,
@@ -135,6 +137,19 @@ def test_estimate_success_needs_parameters_for_single_qubit_gates():
         estimate_success(Circuit(2, 0, (Gate.h(0),)), cmap)
     # CNOT-only circuits are fine without them
     assert estimate_success(Circuit(2, 0, (Gate.cnot(0, 1),)), cmap) == 0.99
+
+
+def test_estimate_success_is_the_product_in_circuit_order():
+    cmap = two_qubit_map(0.0131, 0.0047, u2_error=0.00037)
+    body = (Gate.h(0), Gate.cnot(0, 1), Gate.u(1, 0.1, 0.2, 0.3), Gate.sx(0), Gate.cnot(1, 0),
+            Gate.h(0), Gate.x(1), Gate.cnot(0, 1), Gate.u(1, 0.4, 0.5, 0.6), Gate.h(0)) * 7
+    expected = 1.0
+    for gate in body:
+        if gate.kind is GateKind.CNOT:
+            expected *= 1.0 - cmap.edge(*gate.qubits).cnot_error
+        else:
+            expected *= 1.0 - cmap.qubit_params[gate.qubits[0]].gate_error(gate.kind)
+    assert estimate_success(Circuit(2, 0, body), cmap) == expected
 
 
 # ── enforce_direction ───────────────────────────────────────────────────
@@ -284,6 +299,19 @@ def test_decision_lines_are_json():
     doc = json.loads(lines[0])
     assert doc["logical"] == [0, 1]
     assert doc["realization"] == "sandwich"
+
+
+def test_decision_lines_match_per_decision_json():
+    import json
+
+    circuit = Circuit(2, 0, (Gate.cnot(0, 1), Gate.h(0), Gate.cnot(1, 0), Gate.cnot(0, 1)) * 3)
+    for pass_fn in (enforce_direction, orient_for_error):
+        report = pass_fn(circuit, two_qubit_map(0.02, 0.003))
+        assert report.decision_lines() == [json.dumps(d.to_document(), sort_keys=True)
+                                           for d in report.decisions]
+    decisions = (CnotDecision(0, 0, 1, "direct", 0.0, None), CnotDecision(7, 0, 1, "direct", -0.0, None))
+    report = TranspileReport(circuit, decisions, None, 0, 0, None)
+    assert report.decision_lines() == [json.dumps(d.to_document(), sort_keys=True) for d in decisions]
 
 
 # ── Hadamard cleanup ────────────────────────────────────────────────────
